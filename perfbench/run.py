@@ -198,8 +198,9 @@ def _checked_replay(rep, reference: dict, outcome: Outcome) -> None:
 
 
 def run_service_untraced(seed: int, seconds: float) -> dict:
-    from service import batch_document, master_store, replay_once
+    from service import batch_document, master_store, pin_to_one_cpu, replay_once
 
+    pin_to_one_cpu()
     outcome = Outcome()
     replays = []
     references: dict[int, dict] = {}
@@ -236,8 +237,9 @@ def run_service_untraced(seed: int, seconds: float) -> dict:
 def run_service_traced(seed: int, trace_out: Path) -> dict:
     import layers
     from instrument import Tracer
-    from service import batch_document, master_store, replay_once
+    from service import batch_document, master_store, pin_to_one_cpu, replay_once
 
+    pin_to_one_cpu()
     outcome = Outcome()
     plain = replay_once(seed, 0, bootstrap.WORK_DIR, f"{os.getpid()}-plain")
     reference = batch_document(seed, plain.inputs, master_store(seed))

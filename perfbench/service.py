@@ -11,6 +11,7 @@ session and returns the result document.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -120,6 +121,18 @@ def _wait_ready(proc: subprocess.Popen, ready: Path) -> dict:
         if time.monotonic() > deadline:
             raise RuntimeError("master did not bind in time")
         time.sleep(0.005)
+
+
+def pin_to_one_cpu() -> None:
+    """Keep this process, and the master it starts, on one CPU.
+
+    Every SUBMIT wakes the other process of the closed loop.  Across two
+    vCPUs that wake waits for the host to run the idle vCPU, which on a
+    shared host varies from run to run; on one CPU it is a context switch.
+    The loop is serial, so no parallelism is lost.
+    """
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
 def master_store(seed: int):
